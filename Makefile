@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-strict verify bench bench-smoke chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke examples figures clean
+.PHONY: install test lint lint-strict verify bench bench-smoke perf chaos trace-smoke serve-smoke fleet-smoke cluster-smoke monitor-smoke overload-smoke examples figures clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -44,6 +44,13 @@ verify: lint lint-strict bench-smoke chaos trace-smoke serve-smoke fleet-smoke c
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Host wall-clock benchmark (perfbench/README.md): every workload's
+# end-to-end metrics at one seed.  Timed and noisy on a shared host, so
+# it is not part of `make verify`.
+SEED ?= 1
+perf:
+	python3 perfbench/run.py --workload all --seed $(SEED)
 
 # Fast gate for the persistent translation cache: a warm start from the
 # repository must do strictly fewer (in fact zero) BBT translations and

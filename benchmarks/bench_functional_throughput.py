@@ -3,7 +3,10 @@
 Not a paper figure — this tracks the speed of the repository's own
 executable models (instructions/second of the interpreter and of the
 full staged-translation VM on a hot loop), so regressions in the
-functional layer are visible in benchmark history.
+functional layer are visible in benchmark history.  Translated code
+must run the hot loop at least as fast as the reference interpreter;
+the engines are timed interleaved, best of ``ROUNDS`` each, so a swing
+in host speed reaches both alike.
 """
 
 import time
@@ -29,6 +32,8 @@ loop:
 
 DYNAMIC_INSTRS = 6 * 20_000 + 4
 
+ROUNDS = 3
+
 
 def _throughput(factory, **kwargs):
     image = assemble(HOT_LOOP)
@@ -36,13 +41,14 @@ def _throughput(factory, **kwargs):
     vm = CoDesignedVM(factory(), **kwargs)
     vm.load(image)
     vm.run(max_uops=80_000_000)
-    elapsed = time.perf_counter() - started
-    return DYNAMIC_INSTRS / elapsed, elapsed
+    return DYNAMIC_INSTRS / (time.perf_counter() - started)
 
 
 def test_functional_throughput(benchmark):
-    interp_rate, _ = _throughput(ref_superscalar)
-    vm_rate, _ = _throughput(vm_soft, hot_threshold=50)
+    interp_rate = vm_rate = 0.0
+    for _ in range(ROUNDS):
+        interp_rate = max(interp_rate, _throughput(ref_superscalar))
+        vm_rate = max(vm_rate, _throughput(vm_soft, hot_threshold=50))
     rows = [
         ["interpreter (reference config)", f"{interp_rate:,.0f}"],
         ["staged-translation VM (VM.soft)", f"{vm_rate:,.0f}"],
@@ -53,7 +59,9 @@ def test_functional_throughput(benchmark):
                             "(engineering metric, not a paper figure)"))
 
     assert interp_rate > 1_000      # sanity floor
-    assert vm_rate > 100
+    assert vm_rate >= interp_rate, (
+        f"VM.soft {vm_rate:,.0f} instrs/s is slower than the "
+        f"interpreter's {interp_rate:,.0f}")
 
     vm = CoDesignedVM(vm_soft(), hot_threshold=50)
     vm.load(assemble(HOT_LOOP))

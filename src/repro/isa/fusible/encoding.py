@@ -29,7 +29,7 @@ bits 18..0 as its immediate.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.isa.fusible.microop import MicroOp
 from repro.isa.fusible.opcodes import (
@@ -254,10 +254,3 @@ def decode_stream(data: bytes) -> List[MicroOp]:
 def stream_length(uops: List[MicroOp]) -> int:
     """Total encoded length in bytes."""
     return sum(uop.length for uop in uops)
-
-
-def decode_uop_at(memory, addr: int) -> Tuple[MicroOp, int]:
-    """Decode one micro-op from an AddressSpace; returns (uop, length)."""
-    window = memory.read(addr, 4)
-    uop = decode_uop(window)
-    return uop, uop.length

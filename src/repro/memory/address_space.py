@@ -8,10 +8,14 @@ Pages are materialized on first touch so that widely separated regions
 
 from __future__ import annotations
 
+import struct
+
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 ADDRESS_MASK = 0xFFFFFFFF
+
+_U32 = struct.Struct("<I")
 
 
 class MemoryError_(Exception):
@@ -99,11 +103,28 @@ class AddressSpace:
         value &= 0xFFFF
         self.write(addr, bytes((value & 0xFF, value >> 8)))
 
+    # 32-bit words unpack straight from the page unless they straddle a
+    # page boundary: the native machine fetches every micro-op through
+    # ``read_u32``, so that path allocates nothing but the int.
+
     def read_u32(self, addr: int) -> int:
+        addr &= ADDRESS_MASK
+        in_page = addr & PAGE_MASK
+        if in_page <= PAGE_SIZE - 4:
+            page = self._pages.get(addr >> PAGE_SHIFT)
+            if page is None:
+                return 0
+            return _U32.unpack_from(page, in_page)[0]
         data = self.read(addr, 4)
         return data[0] | (data[1] << 8) | (data[2] << 16) | (data[3] << 24)
 
     def write_u32(self, addr: int, value: int) -> None:
+        addr &= ADDRESS_MASK
+        in_page = addr & PAGE_MASK
+        if in_page <= PAGE_SIZE - 4:
+            _U32.pack_into(self._page_for_write(addr >> PAGE_SHIFT),
+                           in_page, value & 0xFFFFFFFF)
+            return
         value &= 0xFFFFFFFF
         self.write(addr, bytes((value & 0xFF,
                                 (value >> 8) & 0xFF,

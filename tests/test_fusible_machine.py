@@ -10,7 +10,7 @@ from repro.isa.fusible import (
     UOp,
     encode_stream,
 )
-from repro.isa.fusible.registers import R_ZERO
+from repro.isa.fusible.registers import R_EXIT_TARGET, R_ZERO
 from repro.isa.x86lite.registers import Cond
 from repro.memory import AddressSpace
 
@@ -271,3 +271,164 @@ class TestSpecial:
         assert machine.uops_executed == 3
         assert machine.fused_pairs_seen == 1
         assert machine.uop_bytes_fetched == 4 + 2 + 4
+
+    def test_stats_counting_under_run(self):
+        # The runtime charges simulated cycles per counted micro-op, so
+        # run() must count exactly like one decode per fetch would: the
+        # same on a cold and a warm handler table, every micro-op the
+        # runaway guard lets through, and never one that fails to decode.
+        memory = AddressSpace()
+        memory.write(CODE, encode_stream([
+            MicroOp(UOp.ADDI, rd=1, rs1=R_ZERO, imm=1, fused=True),
+            MicroOp(UOp.ADD2, rd=2, rs1=1),
+            MicroOp(UOp.HALT),
+        ]))
+        machine = FusibleMachine(memory)
+
+        def counters():
+            return (machine.uops_executed, machine.uop_bytes_fetched,
+                    machine.fused_pairs_seen)
+
+        machine.run(CODE)                     # cold table
+        assert counters() == (3, 10, 1)
+        machine.run(CODE)                     # warm table
+        assert counters() == (6, 20, 2)
+
+        loop = CODE + 0x100
+        memory.write(loop, encode_stream([
+            MicroOp(UOp.ADDI2, rd=3, imm=1, fused=True),
+            MicroOp(UOp.JMP, imm=-6),
+        ]))
+        with pytest.raises(NativeMachineError):
+            machine.run(loop, max_uops=51)
+        assert counters() == (6 + 51, 20 + 26 * 2 + 25 * 4, 2 + 26)
+
+        bad = CODE + 0x200
+        memory.write(bad, encode_stream([
+            MicroOp(UOp.ADDI, rd=4, rs1=R_ZERO, imm=2, fused=True),
+            MicroOp(UOp.ADD2, rd=5, rs1=4),
+        ]) + b"\xff\x7f\xff\xff")        # invalid long opcode
+        before = counters()
+        for _ in range(2):                    # cold, then warm prefix
+            with pytest.raises(NativeMachineError):
+                machine.run(bad)
+            after = counters()
+            assert tuple(a - b for a, b in zip(after, before)) == (2, 6, 1)
+            before = after
+
+
+DATA = 0x5000_0000
+TARGET = CODE + 0x400
+
+
+def _stub(x86_target):
+    """An exit stub as the translators emit it (head word: the LUI)."""
+    return [MicroOp(UOp.LUI, rd=R_EXIT_TARGET, imm=x86_target >> 13),
+            MicroOp(UOp.ORI, rd=R_EXIT_TARGET, rs1=R_EXIT_TARGET,
+                    imm=x86_target & 0x1FFF),
+            MicroOp(UOp.VMEXIT, rs1=R_EXIT_TARGET)]
+
+
+def _block():
+    """A translated-block shape: body, then one exit stub."""
+    return [
+        MicroOp(UOp.ADDI, rd=1, rs1=1, imm=3, setflags=True, fused=True),
+        MicroOp(UOp.ADD2, rd=2, rs1=1),
+        MicroOp(UOp.LUI, rd=6, imm=DATA >> 13),
+        MicroOp(UOp.STW, rd=2, rs1=6, imm=0),
+    ] + _stub(0x0804_8000)
+
+
+def _machine_state(machine):
+    return (list(machine.regs), [bytes(f) for f in machine.fregs],
+            machine.flags_packed(), machine.csr,
+            machine.memory.read(CODE, 0x500), machine.memory.read(DATA, 16))
+
+
+def _counters(machine):
+    return (machine.uops_executed, machine.uop_bytes_fetched,
+            machine.fused_pairs_seen)
+
+
+def assert_runs_like_fresh(machine, start):
+    """Run ``machine`` (its handler table warm) from ``start`` and a fresh
+    machine over a snapshot of the same memory and registers; both must
+    agree on the exit, registers, flags, memory and counters."""
+    fresh = FusibleMachine(machine.memory.snapshot())
+    fresh.regs[:] = machine.regs
+    for mine, theirs in zip(fresh.fregs, machine.fregs):
+        mine[:] = theirs
+    fresh.set_flags_packed(machine.flags_packed())
+    before = _counters(machine)
+    event = machine.run(start, max_uops=1000)
+    expected = fresh.run(start, max_uops=1000)
+    assert event == expected
+    assert _machine_state(machine) == _machine_state(fresh)
+    assert tuple(a - b for a, b in zip(_counters(machine), before)) == \
+        _counters(fresh)
+    return event
+
+
+class TestCodeCoherence:
+    """Pre-decoded handlers never hide code bytes that changed."""
+
+    def _warm(self):
+        memory = AddressSpace()
+        memory.write(CODE, encode_stream(_block()))
+        memory.write(TARGET, encode_stream([
+            MicroOp(UOp.ADDI, rd=7, rs1=R_ZERO, imm=77),
+            MicroOp(UOp.HALT),
+        ]))
+        machine = FusibleMachine(memory)
+        first = machine.run(CODE)
+        assert first.kind == "vmexit" and first.value == 0x0804_8000
+        return machine, first
+
+    def test_chain_patch_of_stub_head(self):
+        machine, first = self._warm()
+        stub = first.native_pc - 8             # LUI, ORI, VMEXIT
+        jmp = MicroOp(UOp.JMP, imm=TARGET - (stub + 4))
+        machine.memory.write(stub, encode_stream([jmp]))
+        event = assert_runs_like_fresh(machine, CODE)
+        assert event.kind == "halt" and machine.regs[7] == 77
+        # unchaining restores the LUI: the exit comes back
+        machine.memory.write(stub, encode_stream(_stub(0x0804_8000)[:1]))
+        assert assert_runs_like_fresh(machine, CODE).kind == "vmexit"
+
+    def test_flipped_non_linkage_byte(self):
+        # The bare machine has no integrity sweep: tampered bytes run as
+        # tampered.  Flip the low immediate byte of the body's ADDI.
+        machine, _ = self._warm()
+        addi = machine.memory.read(CODE, 4)
+        machine.memory.write(CODE + 2, bytes([addi[2] ^ 0x04]))
+        assert_runs_like_fresh(machine, CODE)
+        assert machine.regs[1] == 3 + 7
+
+    def test_flush_and_reinstall_at_same_address(self):
+        machine, _ = self._warm()
+        machine.memory.fill(CODE, 0x400)       # flush scrubs the cache
+        machine.memory.write(CODE, encode_stream([
+            MicroOp(UOp.SUBI, rd=1, rs1=1, imm=5, setflags=True),
+            MicroOp(UOp.SUB2, rd=2, rs1=1),
+        ] + _stub(0x0804_9000)))
+        event = assert_runs_like_fresh(machine, CODE)
+        assert event.value == 0x0804_9000
+
+    def test_guest_store_overwrites_later_uop(self):
+        new = encode_stream([MicroOp(UOp.ADDI, rd=3, rs1=3, imm=-8)])
+        word = int.from_bytes(new, "little")
+        memory = AddressSpace()
+        memory.write(CODE, encode_stream([
+            MicroOp(UOp.LUI, rd=5, imm=word >> 13),
+            MicroOp(UOp.ORI, rd=5, rs1=5, imm=word & 0x1FFF),
+            MicroOp(UOp.STW, rd=5, rs1=6, imm=0),
+            MicroOp(UOp.ADDI, rd=3, rs1=3, imm=1),     # CODE + 12
+            MicroOp(UOp.HALT),
+        ]))
+        machine = FusibleMachine(memory)
+        machine.regs[6] = DATA                 # store misses the code ...
+        machine.run(CODE)                      # ... and warms every handler
+        assert machine.regs[3] == 1
+        machine.regs[6] = CODE + 12            # now it rewrites the ADDI
+        assert_runs_like_fresh(machine, CODE)
+        assert machine.regs[3] == (1 - 8) & 0xFFFFFFFF
