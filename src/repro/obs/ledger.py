@@ -123,6 +123,16 @@ class CycleLedger:
         if block is not None:
             per_block = self._blocks.setdefault(category, {})
             per_block[block] = per_block.get(block, 0.0) + cycles
+        total = self.total
+        if cycles < self._interval_end - total:
+            # fast path: the loop below's first pass, when it is the last
+            bucket = self._intervals[-1]
+            bucket[category] = bucket.get(category, 0.0) + cycles
+            self.total = total = total + cycles
+            if total >= self._interval_end:   # rounded onto the boundary
+                self._interval_end *= self._ratio
+                self._intervals.append({})
+            return
         # split the charge across log-grid interval boundaries so the
         # timeline is piecewise-exact (same idea as timing.sampler)
         remaining = cycles

@@ -50,6 +50,8 @@ class LogSampler:
             self._points.append(value)
             value *= ratio
         self._next_index = 0
+        #: the next grid point to record (inf once the grid is spent)
+        self._next_point = self._points[0] if self._points else math.inf
         self.series = SampledSeries()
         self._cycles = 0.0
         self._instructions = 0.0
@@ -70,9 +72,8 @@ class LogSampler:
             raise ValueError("time cannot run backwards")
         start_cycles = self._cycles
         end_cycles = start_cycles + delta_cycles
-        while self._next_index < len(self._points) and \
-                self._points[self._next_index] <= end_cycles:
-            point = self._points[self._next_index]
+        point = self._next_point
+        while point <= end_cycles:
             fraction = ((point - start_cycles) / delta_cycles
                         if delta_cycles else 1.0)
             self.series.cycles.append(point)
@@ -80,6 +81,9 @@ class LogSampler:
                 self._instructions + fraction * delta_instructions)
             self.series.aux.append(self._aux + fraction * delta_aux)
             self._next_index += 1
+            point = self._points[self._next_index] \
+                if self._next_index < len(self._points) else math.inf
+        self._next_point = point
         self._cycles = end_cycles
         self._instructions += delta_instructions
         self._aux += delta_aux

@@ -97,13 +97,32 @@ class StartupResult:
                 for key, value in sorted(self.breakdown.items())}
 
 
-class _RegionState:
-    __slots__ = ("mode", "count", "touched")
+#: Ledger category of cold-code execution, and whether the x86 decoders
+#: are powered while it runs, per initial-emulation mode.
+_COLD_EXECUTION = {
+    "bbt": ("bbt_emulation", False),
+    "x86-mode": ("x86_mode", True),   # frontend x86 decoders active
+    "interp": ("interp", False),
+    "native": ("execution", True),    # conventional decoders always on
+}
 
-    def __init__(self, mode: str = "new", count: int = 0) -> None:
-        self.mode = mode      # 'new' | 'cold' | 'sbt'
+
+class _RegionState:
+    """One region's run-time mode and count, plus its constants."""
+
+    __slots__ = ("region", "instrs", "addr", "shadow", "uop_bytes",
+                 "mode", "count", "touched")
+
+    def __init__(self, region: Region, shadow: int, uop_bytes: int,
+                 mode: str, count: int) -> None:
+        self.region = region
+        self.instrs = float(region.instr_count)
+        self.addr = region.addr
+        self.shadow = shadow        # address of its translation
+        self.uop_bytes = uop_bytes  # bytes of its translation
+        self.mode = mode            # 'new' | 'cold' | 'sbt'
         self.count = count
-        self.touched = False  # cold misses charged yet?
+        self.touched = False        # cold misses charged yet?
 
 
 class StartupSimulator:
@@ -121,6 +140,15 @@ class StartupSimulator:
                                   per_decade=samples_per_decade)
         self.footprint = ColdFootprintModel()
         self._regions = workload.regions
+        self._translates = scenario in (Scenario.MEMORY_STARTUP,
+                                        Scenario.DISK_STARTUP)
+        self._charges_cold_misses = scenario is not Scenario.STEADY_STATE
+        emulation = config.initial_emulation
+        self._cold_cpi = self.costs.cold_execution_cpi(emulation)
+        self._cold_category, self._cold_decoders_on = \
+            _COLD_EXECUTION.get(emulation, _COLD_EXECUTION["native"])
+        self._uop_scale = self.app.uop_bytes_per_instr / \
+            self.app.bytes_per_instr
         self._state = [self._initial_region_state(region)
                        for region in self._regions]
         self._mem_line_charge = config.memory_latency + config.l2.latency
@@ -135,6 +163,10 @@ class StartupSimulator:
     # -- initial state per scenario ------------------------------------------
 
     def _initial_region_state(self, region: Region) -> _RegionState:
+        shadow = _CODE_CACHE_SHADOW_BASE + \
+            (region.addr - self._regions[0].addr)
+        uop_bytes = max(int(region.byte_count * self._uop_scale), 1)
+        mode, count = "new", 0
         if self.scenario in (Scenario.PERSISTENT_WARM,
                              Scenario.CODE_CACHE_WARM,
                              Scenario.STEADY_STATE):
@@ -143,18 +175,10 @@ class StartupSimulator:
             # hot regions are in SBT form, the rest in BBT/cold form
             if self.config.is_vm and \
                     region.total_iterations >= self.config.hot_threshold:
-                return _RegionState("sbt", self.config.hot_threshold)
-            return _RegionState("cold", 0)
-        return _RegionState("new", 0)
-
-    @property
-    def _charges_cold_misses(self) -> bool:
-        return self.scenario is not Scenario.STEADY_STATE
-
-    @property
-    def _translates(self) -> bool:
-        return self.scenario in (Scenario.MEMORY_STARTUP,
-                                 Scenario.DISK_STARTUP)
+                mode, count = "sbt", self.config.hot_threshold
+            else:
+                mode = "cold"
+        return _RegionState(region, shadow, uop_bytes, mode, count)
 
     # -- main loop --------------------------------------------------------------
 
@@ -168,31 +192,53 @@ class StartupSimulator:
 
         threshold = self.config.hot_threshold
         optimizes = self.config.is_vm
+        states = self._state
+        breakdown = self.result.breakdown
+        charge = self.ledger.charge
+        advance = self.sampler.advance
+        sbt_cpi = self.costs.sbt_cpi
+        cold_cpi = self._cold_cpi
+        cold_category = self._cold_category
+        cold_decoders_on = self._cold_decoders_on
 
         for episode in self.workload.episodes:
-            region = self._regions[episode.region_index]
-            state = self._state[region.index]
+            state = states[episode.region_index]
             iterations = episode.iterations
-
             if not state.touched:
-                self._charge_cold_misses(region, state)
                 state.touched = True
-            if state.mode == "new":
-                self._translate_bbt(region)
-                state.mode = "cold"
+                self._charge_cold_misses(state)
+                if state.mode == "new":
+                    self._translate_bbt(state)
+                    state.mode = "cold"
 
-            if optimizes and state.mode == "cold" and \
-                    state.count < threshold <= state.count + iterations:
-                split = threshold - state.count
-                self._execute(region, split, "cold")
-                state.count += split
-                iterations -= split
-                self._promote(region)
-                state.mode = "sbt"
-
-            if iterations > 0:
-                self._execute(region, iterations, state.mode)
-                state.count += iterations
+            # an episode that crosses the hot threshold runs as two
+            # segments: cold up to the crossing, then promoted to SBT
+            while iterations > 0:
+                segment = iterations
+                promote = optimizes and state.mode == "cold" and \
+                    state.count < threshold <= state.count + iterations
+                if promote:
+                    segment = threshold - state.count
+                instrs = state.instrs * segment
+                if state.mode == "sbt":
+                    cycles = instrs * sbt_cpi
+                    category = "sbt_emulation"
+                    aux = 0.0
+                    self.result.sbt_instrs_executed += instrs
+                else:
+                    cycles = instrs * cold_cpi
+                    category = cold_category
+                    aux = cycles if cold_decoders_on else 0.0
+                # _advance, inlined (a segment has instructions: no skip)
+                breakdown[category] = breakdown.get(category, 0.0) \
+                    + cycles
+                charge(category, cycles, state.addr)
+                advance(cycles, instrs, aux)
+                state.count += segment
+                iterations -= segment
+                if promote:
+                    self._promote(state)
+                    state.mode = "sbt"
 
         series = self.sampler.finish()
         self.result.series = series
@@ -223,25 +269,24 @@ class StartupSimulator:
         cycles = PERSIST_OPEN_CYCLES + instrs * self.costs.persist_load_cpi
         self._advance(cycles, 0.0, "persist_load")
 
-    def _charge_cold_misses(self, region: Region,
-                            state: _RegionState) -> None:
+    def _charge_cold_misses(self, state: _RegionState) -> None:
         """Scenario-dependent cold misses at a region's first execution."""
         if not self._charges_cold_misses:
             return
-        instrs = region.instr_count
+        region = state.region
         cold_cycles = 0.0
         if self.config.uses_bbt and \
                 self.scenario in (Scenario.CODE_CACHE_WARM,
                                   Scenario.PERSISTENT_WARM):
             # translations survived in memory; only they are fetched
             cold_cycles += self.footprint.touch(
-                self._shadow_addr(region), self._uop_bytes(region),
-                self._mem_line_charge)
+                state.shadow, state.uop_bytes, self._mem_line_charge)
         else:
             cold_cycles += self.footprint.touch(
                 region.addr, region.byte_count, self._mem_line_charge)
         # data-side cold misses during the first executions
-        cold_cycles += (instrs * self.app.data_cold_misses_per_instr
+        cold_cycles += (region.instr_count
+                        * self.app.data_cold_misses_per_instr
                         * self._mem_line_charge)
         if cold_cycles:
             self.result.cold_miss_cycles += cold_cycles
@@ -250,71 +295,37 @@ class StartupSimulator:
             aux = cold_cycles if self.config.mode in ("ref", "fe") else 0.0
             self._advance(cold_cycles, 0.0, "cold_miss", aux=aux)
 
-    def _translate_bbt(self, region: Region) -> None:
+    def _translate_bbt(self, state: _RegionState) -> None:
         if not (self.config.uses_bbt and self._translates):
             return
-        instrs = region.instr_count
+        instrs = state.region.instr_count
         translate_cycles = instrs * self.costs.bbt_translate_cpi
         busy = instrs * self.costs.xlt_busy_per_instr
         self.result.m_bbt_instrs += instrs
         self._advance(translate_cycles, 0.0, "bbt_translation", aux=busy,
-                      block=region.addr)
+                      block=state.addr)
         if self._charges_cold_misses:
-            fill = self.footprint.touch(self._shadow_addr(region),
-                                        self._uop_bytes(region),
+            fill = self.footprint.touch(state.shadow, state.uop_bytes,
                                         self._l2_line_charge)
             self.result.cold_miss_cycles += fill
-            self._advance(fill, 0.0, "cold_miss", block=region.addr)
+            self._advance(fill, 0.0, "cold_miss", block=state.addr)
 
-    def _promote(self, region: Region) -> None:
-        instrs = region.instr_count
+    def _promote(self, state: _RegionState) -> None:
+        instrs = state.region.instr_count
         self.result.m_sbt_instrs += instrs
         self.result.promotions += 1
         if not self._translates:
             return  # pre-translated scenarios: promotion is free
         cycles = instrs * self.costs.sbt_translate_cpi
-        self._advance(cycles, 0.0, "sbt_translation", block=region.addr)
+        self._advance(cycles, 0.0, "sbt_translation", block=state.addr)
         if self._charges_cold_misses:
-            fill = self.footprint.touch(
-                self._shadow_addr(region) + 0x0100_0000,
-                self._uop_bytes(region), self._l2_line_charge)
+            fill = self.footprint.touch(state.shadow + 0x0100_0000,
+                                        state.uop_bytes,
+                                        self._l2_line_charge)
             self.result.cold_miss_cycles += fill
-            self._advance(fill, 0.0, "cold_miss", block=region.addr)
-
-    def _execute(self, region: Region, iterations: int, mode: str) -> None:
-        instrs = float(region.instr_count) * iterations
-        if mode == "sbt":
-            cycles = instrs * self.costs.sbt_cpi
-            category = "sbt_emulation"
-            aux = 0.0
-            self.result.sbt_instrs_executed += instrs
-        else:
-            emulation = self.config.initial_emulation
-            cycles = instrs * self.costs.cold_execution_cpi(emulation)
-            if emulation == "bbt":
-                category = "bbt_emulation"
-                aux = 0.0
-            elif emulation == "x86-mode":
-                category = "x86_mode"
-                aux = cycles          # frontend x86 decoders active
-            elif emulation == "interp":
-                category = "interp"
-                aux = 0.0
-            else:
-                category = "execution"
-                aux = cycles          # conventional decoders always on
-        self._advance(cycles, instrs, category, aux=aux,
-                      block=region.addr)
+            self._advance(fill, 0.0, "cold_miss", block=state.addr)
 
     # -- helpers -----------------------------------------------------------------
-
-    def _shadow_addr(self, region: Region) -> int:
-        return _CODE_CACHE_SHADOW_BASE + \
-            (region.addr - self.workload.regions[0].blocks[0].addr)
-
-    def _uop_bytes(self, region: Region) -> int:
-        scale = self.app.uop_bytes_per_instr / self.app.bytes_per_instr
-        return max(int(region.byte_count * scale), 1)
 
     def _advance(self, cycles: float, instrs: float, category: str,
                  aux: float = 0.0, block: Optional[int] = None) -> None:

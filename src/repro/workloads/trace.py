@@ -24,9 +24,10 @@ exactly reproducible.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -40,6 +41,8 @@ TEXT_BASE = 0x0040_0000
 class Block:
     """One static basic block."""
 
+    __slots__ = ("addr", "size", "nbytes")  # tens of thousands per app
+
     addr: int
     size: int          # architected instructions
     nbytes: int        # encoded architected bytes
@@ -47,23 +50,18 @@ class Block:
 
 @dataclass
 class Region:
-    """A loop-like group of blocks that execute together."""
+    """A loop-like group of blocks that execute together (its totals and
+    first address are filled in once, by :func:`generate_workload`)."""
+
+    __slots__ = ("index", "blocks", "total_iterations", "instr_count",
+                 "byte_count", "addr")
 
     index: int
     blocks: List[Block]
     total_iterations: int
-
-    @property
-    def instr_count(self) -> int:
-        return sum(block.size for block in self.blocks)
-
-    @property
-    def byte_count(self) -> int:
-        return sum(block.nbytes for block in self.blocks)
-
-    @property
-    def addr(self) -> int:
-        return self.blocks[0].addr
+    instr_count: int
+    byte_count: int
+    addr: int
 
 
 @dataclass(frozen=True)
@@ -94,13 +92,25 @@ class Workload:
         return sum(region.instr_count * region.total_iterations
                    for region in self.regions)
 
-    def region_execution_counts(self) -> np.ndarray:
-        return np.array([region.total_iterations
-                         for region in self.regions])
-
 
 #: Reference dynamic length the frequency mixture is calibrated at.
 REFERENCE_DYN_INSTRS = 100_000_000
+
+#: Most episodes in one region's schedule: a warm-up plus 11 bursts.
+MAX_EPISODES = 12
+
+# A schedule's burst shares and phase offsets depend only on its episode
+# count, so each is computed once per count, by NumPy: they must be its
+# values to the last bit (SIMD ``power`` may round unlike libm's).
+@functools.lru_cache(maxsize=None)
+def _burst_shares(bursts: int) -> Tuple[float, ...]:
+    weights = 2.0 ** -np.arange(bursts)
+    return tuple((weights / weights.sum()).tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_offsets(count: int) -> Tuple[float, ...]:
+    return tuple(((np.arange(count) / max(count - 1, 1)) ** 0.7).tolist())
 
 
 def generate_workload(app: AppProfile, dyn_instrs: int = 100_000_000,
@@ -109,7 +119,8 @@ def generate_workload(app: AppProfile, dyn_instrs: int = 100_000_000,
     """Generate a deterministic workload for ``app``.
 
     ``dyn_instrs`` is hit exactly (iteration counts are rescaled after
-    sampling, preserving the mixture's shape).
+    sampling, preserving the mixture's shape).  Draws and float operations
+    run in a fixed order: ``tests/test_startup_golden.py`` pins the bits.
     """
     # zlib.crc32 is stable across processes (unlike hash(), which is
     # salted); workload generation must be exactly reproducible
@@ -121,19 +132,25 @@ def generate_workload(app: AppProfile, dyn_instrs: int = 100_000_000,
     n_regions = max(int(n_blocks / mean_blocks_per_region), 2)
 
     # --- static structure ---------------------------------------------------
-    blocks_per_region = rng.integers(2, 11, size=n_regions)
+    blocks_per_region = rng.integers(2, 11, size=n_regions).tolist()
+    block_p = 1.0 / app.avg_block_size
+    bytes_per_instr = app.bytes_per_instr
     addr = TEXT_BASE
-    for region_index in range(n_regions):
+    for region_index, block_count in enumerate(blocks_per_region):
+        region_addr = addr
+        instr_count = 0
         blocks = []
-        for _ in range(int(blocks_per_region[region_index])):
-            size = int(np.clip(rng.geometric(1.0 / app.avg_block_size),
-                               1, 20))
-            nbytes = max(int(round(size * app.bytes_per_instr)), size)
+        for _ in range(block_count):
+            size = min(max(rng.geometric(block_p), 1), 20)
+            nbytes = max(int(round(size * bytes_per_instr)), size)
             blocks.append(Block(addr=addr, size=size, nbytes=nbytes))
             addr += nbytes
+            instr_count += size
+        workload.regions.append(Region(
+            index=region_index, blocks=blocks, total_iterations=0,
+            instr_count=instr_count, byte_count=addr - region_addr,
+            addr=region_addr))
         addr += int(rng.integers(0, 32))  # layout gap between regions
-        workload.regions.append(Region(index=region_index, blocks=blocks,
-                                       total_iterations=0))
 
     # --- execution-frequency mixture --------------------------------------------
     is_cold = rng.random(n_regions) < app.cold_fraction
@@ -148,8 +165,8 @@ def generate_workload(app: AppProfile, dyn_instrs: int = 100_000_000,
     raw_total = float(np.dot(counts, instrs_per_region))
     counts *= dyn_instrs / raw_total
     counts = np.maximum(counts.round().astype(np.int64), 1)
-    for region, total in zip(workload.regions, counts):
-        region.total_iterations = int(total)
+    for region, total in zip(workload.regions, counts.tolist()):
+        region.total_iterations = total
 
     # --- episode schedule ------------------------------------------------------
     # Discovery is front-loaded with a long tail (Beta(0.5, 2)); once a
@@ -166,9 +183,11 @@ def generate_workload(app: AppProfile, dyn_instrs: int = 100_000_000,
         pull = log_counts / max(float(log_counts.max()), 1.0)
         start_fracs = start_fracs * (1.0 - app.hot_early_pull * pull)
     episodes: List[Episode] = []
-    for region, start in zip(workload.regions, start_fracs):
+    for region, start in zip(workload.regions, start_fracs.tolist()):
         total = region.total_iterations
-        n_episodes = int(np.clip(np.log2(total + 1), 1, 12))
+        # floor(log2(total + 1)), clipped to [1, MAX_EPISODES]
+        n_episodes = min(max((total + 1).bit_length() - 1, 1),
+                         MAX_EPISODES)
         # First touch is a short warm-up (discovery); the bulk burst
         # follows within the region's phase, then smaller echoes.  This
         # makes the first million cycles discovery-bound (the paper's
@@ -177,31 +196,27 @@ def generate_workload(app: AppProfile, dyn_instrs: int = 100_000_000,
         warmup = min(16, total)
         if total > warmup:
             bursts = max(n_episodes - 1, 1)
-            weights = 2.0 ** -np.arange(bursts)
-            sizes = np.maximum((weights / weights.sum()
-                                * (total - warmup)).astype(np.int64), 1)
-            sizes = np.concatenate(([warmup], sizes))
-            deficit = int(sizes.sum()) - total
+            sizes = [warmup] + [max(int(share * (total - warmup)), 1)
+                                for share in _burst_shares(bursts)]
+            deficit = sum(sizes) - total
             index = len(sizes) - 1
             while deficit > 0 and index > 0:   # trim echo bursts first
-                take = min(int(sizes[index]), deficit)
+                take = min(sizes[index], deficit)
                 sizes[index] -= take
                 deficit -= take
                 index -= 1
             if deficit < 0:
                 sizes[1] += -deficit           # grow the bulk burst
-            sizes = sizes[sizes > 0]
+            sizes = [size for size in sizes if size > 0]
         else:
-            sizes = np.array([total])
-        phase_width = float(rng.uniform(0.02, 0.25)) * (1.0 - start)
-        offsets = (np.arange(len(sizes)) / max(len(sizes) - 1, 1)) ** 0.7
-        positions = start + phase_width * (0.25 + 0.75 * offsets)
-        positions[0] = start
-        for position, iterations in zip(positions, sizes):
-            if iterations > 0:
-                episodes.append(Episode(position=float(position),
-                                        region_index=region.index,
-                                        iterations=int(iterations)))
+            sizes = [total]
+        phase_width = rng.uniform(0.02, 0.25) * (1.0 - start)
+        episodes.append(Episode(start, region.index, sizes[0]))
+        for offset, iterations in zip(_phase_offsets(len(sizes))[1:],
+                                      sizes[1:]):
+            episodes.append(Episode(
+                start + phase_width * (0.25 + 0.75 * offset),
+                region.index, iterations))
     episodes.sort(key=lambda episode: episode.position)
     workload.episodes = episodes
     return workload

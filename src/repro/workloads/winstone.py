@@ -132,8 +132,3 @@ def winstone_app(name: str) -> AppProfile:
 def winstone_suite() -> List[AppProfile]:
     """All ten application models, in Fig. 9 order."""
     return list(WINSTONE_APPS)
-
-
-def suite_average_static_instrs() -> float:
-    return sum(app.static_instrs for app in WINSTONE_APPS) / \
-        len(WINSTONE_APPS)
